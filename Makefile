@@ -95,7 +95,7 @@ BENCH_DSP_TIME_FAST ?= 2000x
 BENCH_DSP_TIME_E2E ?= 400x
 BENCH_DSP_TIME_SWEEP ?= 2x
 BENCH_DSP_COUNT ?= 5
-BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveFFT|SessionRunPacket|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
+BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveCapture129Taps|SessionRunPacket|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
 
 bench-dsp:
 	@( $(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
@@ -174,12 +174,16 @@ fuzz-decoder:
 # fuzz-simd smoke-fuzzes the SIMD kernels differentially against their
 # pure-Go twins: the Viterbi ACS fuzzer demands strict byte equality of
 # metrics and traceback words (saturation boundaries ±32767 included);
-# the FFT fuzzer feeds raw float bits (NaN, Inf, subnormals) and demands
-# bitwise identity on every non-NaN bin. Both skip cleanly on builds
-# without asm kernels.
+# the FFT and FIR fuzzers feed raw float bits (NaN, Inf, subnormals) and
+# demand bitwise identity on every non-NaN value; the Bluetooth demod
+# fuzzer drives arbitrary captures through the receiver (channel filter
+# included) in both dispatch modes. All skip cleanly on builds without
+# the asm kernels.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzFIRSIMD -fuzztime=10s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzBluetoothDemod -fuzztime=10s ./internal/bluetooth
 
 # ci is the gate: everything must build (natively and cross-compiled for
 # arm64, so the NEON kernels always assemble), pass vet (and staticcheck

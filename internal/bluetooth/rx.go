@@ -349,7 +349,9 @@ func min(a, b int) int {
 // sync or de-whitening applied. This is what FreeRider's backscatter decoder
 // consumes: it already knows the excitation bit stream (receiver 1 reports
 // it over the backhaul) and extracts tag data by comparing streams, so it
-// does not depend on the translated frame parsing cleanly.
+// does not depend on the translated frame parsing cleanly. Like
+// BitPowers, it returns fewer than nBits decisions when the window leaves
+// the capture (a negative start yields none).
 func (rx *Receiver) RawBitsAt(cap *signal.Signal, start, nBits int) []byte {
 	return rawBitsFrom(rx.demodulate(cap), start, nBits)
 }
@@ -359,7 +361,7 @@ func rawBitsFrom(disc []float64, start, nBits int) []byte {
 	for i := 0; i < nBits; i++ {
 		lo := start + i*SamplesPerBit
 		hi := lo + SamplesPerBit
-		if hi > len(disc) {
+		if lo < 0 || hi > len(disc) {
 			break
 		}
 		var acc float64

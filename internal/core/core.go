@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -308,25 +309,50 @@ type Session struct {
 	layout *fec.Layout
 }
 
+// ErrInvalidConfig wraps every error NewSession and SetQuaternary return
+// for a configuration they reject, so callers (the HTTP service) can tell
+// a bad request from a failure inside a packet with errors.Is.
+var ErrInvalidConfig = errors.New("core: invalid config")
+
+func invalidf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrInvalidConfig}, args...)...)
+}
+
+// maxPayloadSize is the largest PayloadSize each radio's transmitter
+// accepts. WiFi sends a PSDU of the 24-byte MAC header, the body and a
+// 4-byte FCS (PayloadSize+4), capped at 4095 bytes; the ZigBee PHY
+// appends a 2-byte FCS to the MPDU and caps it at MaxPayload−2; the
+// Bluetooth payload is capped at MaxPayload.
+func maxPayloadSize(r Radio) int {
+	switch r {
+	case WiFi:
+		return 4095 - 4
+	case ZigBee:
+		return zigbee.MaxPayload - 2
+	default:
+		return bluetooth.MaxPayload
+	}
+}
+
 func validate(cfg Config) error {
 	switch cfg.Radio {
 	case WiFi:
 		r, ok := wifi.Rates[cfg.WiFiRateMbps]
 		if !ok {
-			return fmt.Errorf("core: unknown wifi rate %d Mbps", cfg.WiFiRateMbps)
+			return invalidf("unknown wifi rate %d Mbps", cfg.WiFiRateMbps)
 		}
 		if r.Modulation != wifi.BPSK && r.Modulation != wifi.QPSK {
-			return fmt.Errorf("core: 180° codeword translation needs BPSK/QPSK subcarriers; %d Mbps uses %v", cfg.WiFiRateMbps, r.Modulation)
+			return invalidf("180° codeword translation needs BPSK/QPSK subcarriers; %d Mbps uses %v", cfg.WiFiRateMbps, r.Modulation)
 		}
 		if cfg.Quaternary && r.Modulation != wifi.QPSK {
-			return fmt.Errorf("core: quaternary (eq. 5) translation needs QPSK; %d Mbps uses %v", cfg.WiFiRateMbps, r.Modulation)
+			return invalidf("quaternary (eq. 5) translation needs QPSK; %d Mbps uses %v", cfg.WiFiRateMbps, r.Modulation)
 		}
 	case ZigBee, Bluetooth:
 		if cfg.Quaternary {
-			return fmt.Errorf("core: quaternary translation is only implemented for WiFi")
+			return invalidf("quaternary translation is only implemented for WiFi")
 		}
 	default:
-		return fmt.Errorf("core: unknown radio %v", cfg.Radio)
+		return invalidf("unknown radio %v", cfg.Radio)
 	}
 	switch cfg.ReceiverMode {
 	case DualReceiver:
@@ -336,25 +362,28 @@ func validate(cfg Config) error {
 			// the single receiver's flip feature ever sees them — the same
 			// reason FreeRider's dual decoder needs tracking off (§3.2.1),
 			// but fatal rather than merely degrading here.
-			return fmt.Errorf("core: single-receiver mode is incompatible with pilot phase tracking")
+			return invalidf("single-receiver mode is incompatible with pilot phase tracking")
 		}
 	default:
-		return fmt.Errorf("core: unknown receiver mode %v", cfg.ReceiverMode)
+		return invalidf("unknown receiver mode %v", cfg.ReceiverMode)
 	}
 	if cfg.PayloadSize <= 0 {
-		return fmt.Errorf("core: payload size %d must be positive", cfg.PayloadSize)
+		return invalidf("payload size %d must be positive", cfg.PayloadSize)
+	}
+	if limit := maxPayloadSize(cfg.Radio); cfg.PayloadSize > limit {
+		return invalidf("%v payload size %d exceeds %d bytes", cfg.Radio, cfg.PayloadSize, limit)
 	}
 	if cfg.Redundancy <= 0 {
-		return fmt.Errorf("core: redundancy %d must be positive", cfg.Redundancy)
+		return invalidf("redundancy %d must be positive", cfg.Redundancy)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
+			return invalidf("%w", err)
 		}
 	}
 	if cfg.Coding != nil {
 		if err := cfg.Coding.Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
+			return invalidf("%w", err)
 		}
 	}
 	return nil
@@ -375,7 +404,7 @@ func NewSession(cfg Config) (*Session, error) {
 	if cfg.Coding != nil {
 		lay, err := fec.LayoutFor(s.Capacity(), *cfg.Coding)
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, invalidf("%w", err)
 		}
 		s.layout = &lay
 	}
@@ -405,7 +434,7 @@ func (s *Session) SetQuaternary(q bool) error {
 		lay, err := fec.LayoutFor(s.Capacity(), *cfg.Coding)
 		if err != nil {
 			s.cfg, s.layout = oldCfg, oldLayout
-			return fmt.Errorf("core: %w", err)
+			return invalidf("%w", err)
 		}
 		s.layout = &lay
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -37,8 +38,32 @@ func TestNewSessionValidation(t *testing.T) {
 	if _, err := NewSession(cfg); err == nil {
 		t.Error("zero redundancy accepted")
 	}
-	if _, err := NewSession(Config{Radio: Radio(42), PayloadSize: 1, Redundancy: 1}); err == nil {
-		t.Error("unknown radio accepted")
+	if _, err := NewSession(Config{Radio: Radio(42), PayloadSize: 1, Redundancy: 1}); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("unknown radio: err %v does not wrap ErrInvalidConfig", err)
+	}
+}
+
+// TestPayloadSizeBounds pins each radio's PayloadSize ceiling to what its
+// transmitter accepts: the bound itself runs a packet, one byte more is
+// rejected up front as an invalid config.
+func TestPayloadSizeBounds(t *testing.T) {
+	for _, c := range []struct {
+		radio Radio
+		max   int
+	}{{WiFi, 4091}, {ZigBee, 125}, {Bluetooth, 255}} {
+		cfg := DefaultConfig(c.radio, 2)
+		cfg.PayloadSize = c.max
+		s, err := NewSession(cfg)
+		if err != nil {
+			t.Fatalf("%v at %d bytes: %v", c.radio, c.max, err)
+		}
+		if _, err := s.RunPacket(nil); err != nil {
+			t.Fatalf("%v at %d bytes: packet failed: %v", c.radio, c.max, err)
+		}
+		cfg.PayloadSize = c.max + 1
+		if _, err := NewSession(cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Fatalf("%v at %d bytes: err %v, want ErrInvalidConfig", c.radio, c.max+1, err)
+		}
 	}
 }
 

@@ -438,7 +438,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return freerider.NewSession(cfg)
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		// A rejected config never reaches the pool; anything else failed
+		// while building the session.
+		status := http.StatusInternalServerError
+		if errors.Is(err, core.ErrInvalidConfig) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, "%v", err)
 		return
 	}
 	// The run happens off-handler so the request deadline can fire while a

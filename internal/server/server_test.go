@@ -300,6 +300,30 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
+// TestSimulateOversizedPayload is the regression for payloads past what
+// the radio's transmitter accepts: each radio must get a 400 up front
+// (not a 500 from inside the first packet), and a repeated request must
+// not leave a broken session in the pool.
+func TestSimulateOversizedPayload(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		radio   string
+		payload int
+	}{{"wifi", 4092}, {"zigbee", 126}, {"bluetooth", 256}} {
+		req := simulateRequest{Radio: c.radio, Distance: 2, Packets: 1, Seed: 5, PayloadSize: c.payload}
+		before := s.pool.stats().Size
+		for attempt := 0; attempt < 2; attempt++ {
+			resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s payload %d attempt %d: got %d %s, want 400", c.radio, c.payload, attempt, resp.StatusCode, body)
+			}
+		}
+		if after := s.pool.stats().Size; after != before {
+			t.Fatalf("%s: pool size %d -> %d after rejected requests", c.radio, before, after)
+		}
+	}
+}
+
 func TestExperimentEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var got experimentResponse

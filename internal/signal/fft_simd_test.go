@@ -40,14 +40,6 @@ func requireBitIdentical(t *testing.T, label string, goRes, simdRes []complex128
 	}
 }
 
-func randomComplex(rng *rand.Rand, n int) []complex128 {
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	return x
-}
-
 // TestFFTDispatchBitIdentity runs FFT and IFFT over every power-of-two
 // size the pipeline uses in both dispatch modes and requires bitwise
 // float identity — the acceptance criterion for the SIMD butterflies:
@@ -55,7 +47,7 @@ func randomComplex(rng *rand.Rand, n int) []complex128 {
 func TestFFTDispatchBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for n := 2; n <= 1024; n <<= 1 {
-		in := randomComplex(rng, n)
+		in := randComplex(rng, n)
 		withBothDispatchModes(t, func() []complex128 {
 			x := append([]complex128(nil), in...)
 			if err := FFT(x); err != nil {
@@ -73,26 +65,6 @@ func TestFFTDispatchBitIdentity(t *testing.T) {
 			return x
 		}, func(goRes, simdRes []complex128) {
 			requireBitIdentical(t, "IFFT", goRes, simdRes)
-		})
-	}
-}
-
-// TestConvolveFFTDispatchBitIdentity covers the overlap-save consumer:
-// the full filtering path (forward FFT, spectral multiply, raw inverse)
-// must be bit-identical under both dispatch modes, including lengths
-// that straddle the segmented-convolution block boundaries.
-func TestConvolveFFTDispatchBitIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	taps := make([]float64, 33)
-	for i := range taps {
-		taps[i] = rng.NormFloat64()
-	}
-	for _, n := range []int{1, 17, 64, 127, 128, 129, 500, 1000} {
-		in := randomComplex(rng, n)
-		withBothDispatchModes(t, func() []complex128 {
-			return ConvolveFFT(append([]complex128(nil), in...), taps)
-		}, func(goRes, simdRes []complex128) {
-			requireBitIdentical(t, "ConvolveFFT", goRes, simdRes)
 		})
 	}
 }

@@ -3,7 +3,9 @@ package signal
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
+
+	"repro/internal/simd"
 )
 
 // LowpassFIR designs a windowed-sinc (Hamming) lowpass FIR filter with the
@@ -66,25 +68,24 @@ func Convolve(x []complex128, h []float64) []complex128 {
 	if len(x) == 0 || len(h) == 0 {
 		return nil
 	}
-	full := make([]complex128, len(x)+len(h)-1)
-	for i, xv := range x {
-		for j, hv := range h {
-			full[i+j] += xv * complex(hv, 0)
-		}
-	}
-	delay := (len(h) - 1) / 2
-	out := make([]complex128, len(x))
-	copy(out, full[delay:delay+len(x)])
-	return out
+	a := GetArena()
+	defer a.Release()
+	return ConvolveInto(make([]complex128, 0, len(x)), x, h, a)
 }
 
 // ConvolveInto is Convolve with caller-provided storage: the result is
-// appended to dst[:0] and the intermediate full-length product comes from
-// the arena, so a warm caller allocates nothing. The multiply–accumulate
-// order is exactly Convolve's, so the output is bit-identical.
+// appended to dst[:0], which must not overlap x. The scalar path takes
+// its full-length product from the arena; the SIMD path writes straight
+// into dst. Either way a warm caller allocates nothing, and both paths
+// give bit-identical output.
 func ConvolveInto(dst, x []complex128, h []float64, a *Arena) []complex128 {
 	if len(x) == 0 || len(h) == 0 {
 		return dst[:0]
+	}
+	if simd.FIREnabled() {
+		out := slices.Grow(dst[:0], len(x))[:len(x)]
+		convolveGather(out, x, h)
+		return out
 	}
 	full := a.Complex(len(x) + len(h) - 1)
 	for i, xv := range x {
@@ -97,233 +98,40 @@ func ConvolveInto(dst, x []complex128, h []float64, a *Arena) []complex128 {
 	return append(dst[:0], full[delay:delay+len(x)]...)
 }
 
-// ConvolveFFTThreshold is the tap count at and above which overlap-save FFT
-// convolution (ConvolveFFT) beats the direct form for typical capture
-// lengths (see ConvolveUseFFT for the length-aware crossover). Re-measured
-// with the SIMD FFT butterflies dispatched: the vectorized transforms
-// shrink the FFT path's wall time ~1.6× but the crossover stays at ~128
-// taps because the direct form's contiguous multiply-add loop was never
-// the bottleneck the op-count model assumed — see convolveFFTOpCost for
-// the sweep data. It is advisory: the FFT path reorders floating-point
-// summation and is therefore NOT bit-identical to Convolve, so bit-exact
-// paths (anything feeding the golden vectors or the RunParallel identity
-// check) must keep calling Convolve/ConvolveInto regardless of tap count.
-const ConvolveFFTThreshold = 128
-
-// ConvolveFFTTolerance bounds the relative error of ConvolveFFT against the
-// direct Convolve reference: for every output sample,
-//
-//	|fft − direct| ≤ ConvolveFFTTolerance · Σ|x[i]|·|h[j]|  (the L1 mass)
-//
-// The FFT path accumulates O(log n) rounding steps per output versus the
-// direct form's O(taps), both in float64, so the observed error is ~1e-15
-// relative; the gate leaves three orders of magnitude of slack and the
-// property tests in filter_fft_test.go enforce it across the crossover.
-const ConvolveFFTTolerance = 1e-12
-
-// convolveFFTOpCost is the measured cost of one FFT-path "op" in the
-// ConvolveUseFFT model, in units of one direct-form multiply-add. It
-// calibrates the op-count model against wall time with the SIMD
-// butterflies dispatched (re-measure if the kernels change): sweeping
-// ConvolveInto vs ConvolveFFTInto over nx ∈ {1024, 4096, 16384} and
-// nh ∈ {8..128} (AVX2 host, warm FIR plans, arena-backed so neither
-// side allocates), the direct form wins through 64 taps at every
-// length (fft/direct wall-time 1.04×–1.5×), the two paths cross
-// between 96 and 128 taps (nh=96: direct 3.13 ms vs fft 2.83 ms at
-// nx=16384 but 1.04 ms vs 1.14 ms at nx=4096; nh=128: fft wins at
-// every nx ≥ 4096, 3.78 ms vs 2.37 ms at nx=16384), and 3.0 is the
-// per-op ratio that reproduces that crossover. The uncalibrated model
-// predicted the FFT path from 24 taps — ~4× too eager — because the
-// butterfly's shuffle-heavy complex multiply costs ~3 direct MACs even
-// vectorized, not 1.
-const convolveFFTOpCost = 3.0
-
-// ConvolveUseFFT reports whether the overlap-save FFT path is predicted to
-// beat direct convolution for an nx-sample input filtered by nh taps. The
-// model counts whole blocks: direct is 4·nx·nh real multiply-adds; the FFT
-// path runs ⌈(nx+nh−1)/L⌉ blocks of two n-point transforms plus a pointwise
-// product (≈ n·(10·log2(n) + 8) real ops each, weighted by the measured
-// convolveFFTOpCost), with L = n−nh+1 outputs per block. Counting whole
-// blocks rather than amortised per-output cost charges the FFT path for
-// its final partial block, which is what sinks it on short captures.
-// Short signals and short filters stay on the direct form, which is also
-// the bit-identical one.
-func ConvolveUseFFT(nx, nh int) bool {
-	if nx == 0 || nh == 0 || nh < 16 {
-		return false
+// convolveGather is the SIMD form of the scatter loop above: each output
+// gathers its own terms instead of receiving them from every input, so
+// out needs no full-length scratch. Outputs whose tap window lies wholly
+// inside x go through simd.FIR eight at a time; the two edges and the
+// tail under eight take gatherAt. Both sum an output's terms exactly as
+// the scatter loop does (ascending input index from +0, same complex
+// multiply), so the result is bit-identical to it.
+func convolveGather(out, x []complex128, h []float64) {
+	nx, nh := len(x), len(h)
+	delay := (nh - 1) / 2
+	// out[m] is full-convolution index k = m+delay, whose window
+	// x[k-nh+1..k] is whole for nh-1 <= k <= nx-1.
+	lo := min(nh-1-delay, nx)
+	hi := max(nx-delay, lo)
+	n8 := (hi - lo) &^ 7
+	for m := 0; m < lo; m++ {
+		out[m] = gatherAt(x, h, m+delay)
 	}
-	n := convolveFFTSize(nh)
-	l := n - nh + 1
-	blocks := (nx + nh - 1 + l - 1) / l
-	fftOps := float64(blocks) * float64(n) * (10*math.Log2(float64(n)) + 8) * convolveFFTOpCost
-	directOps := 4 * float64(nx) * float64(nh)
-	return fftOps < directOps
-}
-
-// convolveFFTSize picks the overlap-save block size for an m-tap filter:
-// the power of two at least 4·m (and at least 64), which keeps ≥ 75% of
-// every block's outputs valid while the transforms stay cache-resident.
-func convolveFFTSize(m int) int {
-	n := 1
-	for n < 4*m || n < 64 {
-		n <<= 1
+	if n8 > 0 {
+		simd.FIR(out[lo:lo+n8], x[lo+delay-(nh-1):], h)
 	}
-	return n
+	for m := lo + n8; m < nx; m++ {
+		out[m] = gatherAt(x, h, m+delay)
+	}
 }
 
-// firPlan carries one filter's frequency-domain image at one block size,
-// cached so repeated ConvolveFFT calls with the same taps (the per-packet
-// channel and Gauss filters) skip the filter FFT and its allocation.
-type firPlan struct {
-	plan *Plan
-	taps []float64    // defensive copy, compared on lookup against collisions
-	hf   []complex128 // n-point FFT of taps
-}
-
-// firPlanCache maps {tap hash, tap count, block size} to *firPlan.
-// Collisions are resolved by comparing the stored taps, so a hash collision
-// costs one extra build, never a wrong filter.
-var firPlanCache sync.Map // firKey -> []*firPlan
-
-type firKey struct {
-	hash uint64
-	m, n int
-}
-
-func tapsHash(h []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	acc := uint64(offset64)
-	for _, v := range h {
-		b := math.Float64bits(v)
-		for s := 0; s < 64; s += 8 {
-			acc ^= (b >> s) & 0xFF
-			acc *= prime64
-		}
+// gatherAt is full-convolution output k summed in the scatter loop's
+// order.
+func gatherAt(x []complex128, h []float64, k int) complex128 {
+	var acc complex128
+	for i := max(0, k-len(h)+1); i <= min(k, len(x)-1); i++ {
+		acc += x[i] * complex(h[k-i], 0)
 	}
 	return acc
-}
-
-func firPlanFor(h []float64, n int) (*firPlan, error) {
-	key := firKey{hash: tapsHash(h), m: len(h), n: n}
-	if v, ok := firPlanCache.Load(key); ok {
-		for _, fp := range v.([]*firPlan) {
-			if floatsEqual(fp.taps, h) {
-				return fp, nil
-			}
-		}
-	}
-	p, err := PlanFor(n)
-	if err != nil {
-		return nil, err
-	}
-	hf := make([]complex128, n)
-	for i, hv := range h {
-		hf[i] = complex(hv, 0)
-	}
-	if err := p.FFT(hf); err != nil {
-		return nil, err
-	}
-	fp := &firPlan{plan: p, taps: append([]float64(nil), h...), hf: hf}
-	for {
-		v, loaded := firPlanCache.LoadOrStore(key, []*firPlan{fp})
-		if !loaded {
-			return fp, nil
-		}
-		plans := v.([]*firPlan)
-		for _, prior := range plans {
-			if floatsEqual(prior.taps, h) {
-				return prior, nil
-			}
-		}
-		if firPlanCache.CompareAndSwap(key, v, append(append([]*firPlan(nil), plans...), fp)) {
-			return fp, nil
-		}
-	}
-}
-
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// ConvolveFFT computes the same "same"-aligned filtering as Convolve using
-// overlap-save FFT blocks. The filter's frequency response is plan-cached
-// (first call per filter pays one FFT; every later call is lookup-only) and
-// all scratch comes from a pooled arena, so a warm call allocates only its
-// result. Results agree with Convolve to ConvolveFFTTolerance — summation
-// order differs — so this path is opt-in for analysis, offline tooling and
-// explicitly-gated fast paths, never a silent replacement on bit-exact
-// decode paths.
-func ConvolveFFT(x []complex128, h []float64) []complex128 {
-	if len(x) == 0 || len(h) == 0 {
-		return nil
-	}
-	a := GetArena()
-	defer a.Release()
-	out := make([]complex128, len(x))
-	return convolveFFTInto(out, x, h, a)
-}
-
-// ConvolveFFTInto is ConvolveFFT with caller-provided storage: the result
-// is written into dst[:len(x)] (which must have capacity) and scratch comes
-// from the supplied arena, so a warm caller allocates nothing.
-func ConvolveFFTInto(dst, x []complex128, h []float64, a *Arena) []complex128 {
-	if len(x) == 0 || len(h) == 0 {
-		return dst[:0]
-	}
-	return convolveFFTInto(dst[:len(x)], x, h, a)
-}
-
-func convolveFFTInto(out, x []complex128, h []float64, a *Arena) []complex128 {
-	m := len(h)
-	n := convolveFFTSize(m)
-	fp, err := firPlanFor(h, n)
-	if err != nil {
-		// Unreachable (n is a power of two), but fail exact rather than wrong.
-		return append(out[:0], Convolve(x, h)...)
-	}
-	p, hf := fp.plan, fp.hf
-	block := a.ComplexUninit(n)
-	fullLen := len(x) + m - 1
-	full := a.ComplexUninit(fullLen)
-	// Overlap-save: each block covers input x[pos-m+1 : pos-m+1+n]; after
-	// the circular convolution, entries m-1..n-1 are valid linear-convolution
-	// outputs full[pos : pos+L].
-	L := n - m + 1
-	for pos := 0; pos < fullLen; pos += L {
-		lo := pos - m + 1
-		for i := 0; i < n; i++ {
-			idx := lo + i
-			if idx >= 0 && idx < len(x) {
-				block[i] = x[idx]
-			} else {
-				block[i] = 0
-			}
-		}
-		p.FFT(block)
-		for i := range block {
-			block[i] *= hf[i]
-		}
-		p.IFFT(block)
-		lim := L
-		if pos+lim > fullLen {
-			lim = fullLen - pos
-		}
-		copy(full[pos:pos+lim], block[m-1:m-1+lim])
-	}
-	delay := (m - 1) / 2
-	copy(out, full[delay:delay+len(x)])
-	return out
 }
 
 // Filter applies h to the signal in place (same alignment) and returns it.

@@ -15,3 +15,11 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 //
 //go:noescape
 func fftPass(x *complex128, n int, tw *complex128, size int)
+
+// hasFIR: there is no NEON FIR kernel yet, so FIREnabled stays false and
+// signal.Convolve keeps its pure-Go loop on arm64.
+const hasFIR = false
+
+func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int) {
+	panic("simd: firBlocks has no arm64 kernel")
+}

@@ -19,3 +19,9 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 func fftPass(x *complex128, n int, tw *complex128, size int) {
 	panic("simd: fftPass called on a build without asm kernels")
 }
+
+const hasFIR = false
+
+func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int) {
+	panic("simd: firBlocks called on a build without asm kernels")
+}

@@ -1,12 +1,15 @@
-// Package simd provides runtime-dispatched vector kernels for the two
+// Package simd provides runtime-dispatched vector kernels for the three
 // hottest inner loops in the decode chain: the int16 Viterbi
-// add-compare-select step (wifi.ViterbiDecodeSoftQ) and the radix-2
-// complex FFT butterfly pass (signal.Plan). Each kernel has a Go
+// add-compare-select step (wifi.ViterbiDecodeSoftQ), the radix-2
+// complex FFT butterfly pass (signal.Plan) and the gather-form FIR with
+// real taps (signal.Convolve/ConvolveInto: the Bluetooth channel filter
+// and Gaussian pulse shaping). ViterbiACS and FFTPass have a Go
 // assembly implementation per architecture (AVX2 on amd64, NEON on
-// arm64) and the callers keep their pure-Go loops as the
+// arm64); FIR is AVX2 only, so arm64 keeps the scalar filter through
+// FIREnabled. The callers keep their pure-Go loops as the
 // always-available fallback.
 //
-// Exactness contract: both kernels are bit-identical to the pure-Go
+// Exactness contract: every kernel is bit-identical to the pure-Go
 // reference for every input, not just typical ones.
 //
 //   - ViterbiACS does its arithmetic in 32-bit lanes (sign-extended
@@ -23,6 +26,13 @@
 //     im = br·wi + bi·wr; lo' = a+prod, hi' = a−prod), with no
 //     reassociation, fused multiply-add, or extended precision, so
 //     float results are bit-identical to the Go loop.
+//
+//   - FIR vectorizes across outputs only; each output sums its terms
+//     in the scalar scatter loop's order (ascending input index, taps
+//     walking down, from a +0 accumulator), and each term is Go's own
+//     lowering of x·complex(h, 0): [xr·h − xi·0, xi·h + xr·0]. The
+//     multiplies by zero are kept, so Inf·0 is NaN exactly where the
+//     scalar makes it NaN.
 //
 // Dispatch is decided once at init from CPU features, can be disabled
 // at build time with the `noasm` build tag, at process start with the
@@ -125,4 +135,29 @@ func FFTPass(x []complex128, tw []complex128, size int) {
 		return
 	}
 	fftPass(&x[0], len(x), &tw[0], size)
+}
+
+// FIREnabled reports whether FIR is currently dispatched: asm dispatch
+// is on and this architecture has the kernel (amd64 only).
+func FIREnabled() bool { return hasFIR && active.Load() }
+
+// FIR computes len(dst) outputs of a real-tap filter in gather form:
+//
+//	dst[n] = Σ_{t=0}^{len(h)-1} x[n+t]·complex(h[len(h)-1-t], 0)
+//
+// with the terms summed in ascending t from +0 (see the package
+// comment for the exact lowering). len(dst) must be a multiple of 8 and
+// len(x) at least len(dst)+len(h)-1; dst must not overlap x. Callers
+// must check FIREnabled().
+func FIR(dst, x []complex128, h []float64) {
+	if len(dst)%8 != 0 {
+		panic("simd: FIR output length must be a multiple of 8")
+	}
+	if len(dst) == 0 {
+		return
+	}
+	if len(h) == 0 || len(x) < len(dst)+len(h)-1 {
+		panic("simd: FIR input shorter than outputs plus taps")
+	}
+	firBlocks(&dst[0], &x[0], &h[0], len(h), len(dst)/8)
 }

@@ -120,4 +120,55 @@ func TestKernelContracts(t *testing.T) {
 	mustPanic("ragged input", func() {
 		FFTPass(make([]complex128, 6), make([]complex128, 2), 4)
 	})
+	// Zero outputs is a no-op regardless of dispatch mode or build.
+	FIR(nil, nil, nil)
+	mustPanic("FIR output off the block", func() {
+		FIR(make([]complex128, 4), make([]complex128, 16), make([]float64, 1))
+	})
+	mustPanic("FIR short input", func() {
+		FIR(make([]complex128, 8), make([]complex128, 10), make([]float64, 4))
+	})
+}
+
+// TestFIREnabledTracksDispatch: FIR is dispatched exactly when asm
+// dispatch is on and the architecture has the kernel (amd64 only), so
+// arm64 keeps the scalar filter while its other kernels run.
+func TestFIREnabledTracksDispatch(t *testing.T) {
+	prev := Enabled()
+	defer SetEnabled(prev)
+	SetEnabled(false)
+	if FIREnabled() {
+		t.Fatal("FIREnabled with dispatch off")
+	}
+	SetEnabled(true)
+	if want := Enabled() && runtime.GOARCH == "amd64"; FIREnabled() != want {
+		t.Fatalf("FIREnabled = %v with Enabled=%v on %s", FIREnabled(), Enabled(), runtime.GOARCH)
+	}
+}
+
+// TestFIRMatchesDefinition checks the kernel against its documented sum
+// on finite data (the signal package proves bit identity against the
+// scatter loop, raw float bits included).
+func TestFIRMatchesDefinition(t *testing.T) {
+	prev := SetEnabled(true)
+	defer SetEnabled(prev)
+	if !FIREnabled() {
+		t.Skip("no FIR kernel in this build")
+	}
+	h := []float64{0.5, -1.25, 2, 0.75, -0.125}
+	x := make([]complex128, 16+len(h)-1)
+	for i := range x {
+		x[i] = complex(float64(i%7)-3, float64(i%5)*0.5)
+	}
+	dst := make([]complex128, 16)
+	FIR(dst, x, h)
+	for n := range dst {
+		var want complex128
+		for t := range h {
+			want += x[n+t] * complex(h[len(h)-1-t], 0)
+		}
+		if dst[n] != want {
+			t.Fatalf("output %d: %v, want %v", n, dst[n], want)
+		}
+	}
 }
