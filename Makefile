@@ -95,7 +95,7 @@ BENCH_DSP_TIME_FAST ?= 2000x
 BENCH_DSP_TIME_E2E ?= 400x
 BENCH_DSP_TIME_SWEEP ?= 2x
 BENCH_DSP_COUNT ?= 5
-BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveCapture129Taps|SessionRunPacket|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
+BENCH_DSP_PATTERN = 'FFT1024|FFT64|Convolve101Taps|ConvolveCapture129Taps|ZigBeeDetect|SessionRunPacket|LinkApply|ProfileAt|ImpairedApply|SNRSweep|CalibrationProbe|RSEncode|RSDecode|DifferentialDecode'
 
 bench-dsp:
 	@( $(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
@@ -103,7 +103,7 @@ bench-dsp:
 		./internal/signal ./internal/channel ./internal/faults ./internal/fec ./internal/decoder ; \
 	$(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
 		-benchtime=$(BENCH_DSP_TIME_E2E) -count=$(BENCH_DSP_COUNT) \
-		./internal/core ; \
+		./internal/zigbee ./internal/core ; \
 	$(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
 		-benchtime=$(BENCH_DSP_TIME_SWEEP) -count=$(BENCH_DSP_COUNT) \
 		./internal/experiments ) \
@@ -119,7 +119,7 @@ bench-dsp-quick:
 		-benchtime=200x -count=1 \
 		./internal/signal ./internal/channel ./internal/faults ./internal/fec ./internal/decoder
 	@$(GO) test -run='^$$' -bench=$(BENCH_DSP_PATTERN) -benchmem \
-		-benchtime=20x -count=1 ./internal/core
+		-benchtime=20x -count=1 ./internal/zigbee ./internal/core
 
 # bench-dsp-baseline re-records BENCH_DSP_BASELINE.json from the current
 # tree. Only run it for intentional performance changes.
@@ -177,13 +177,17 @@ fuzz-decoder:
 # the FFT and FIR fuzzers feed raw float bits (NaN, Inf, subnormals) and
 # demand bitwise identity on every non-NaN value; the Bluetooth demod
 # fuzzer drives arbitrary captures through the receiver (channel filter
-# included) in both dispatch modes. All skip cleanly on builds without
-# the asm kernels.
+# included) in both dispatch modes; the ZigBee detect fuzzer does the
+# same for the preamble scan (block path and scalar tail) and Receive.
+# The kernel fuzzers skip cleanly on builds without the asm kernels; the
+# two receiver fuzzers then compare the scalar path with itself and
+# still check that nothing panics.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzFIRSIMD -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzBluetoothDemod -fuzztime=10s ./internal/bluetooth
+	$(GO) test -run=^$$ -fuzz=FuzzZigBeeDetect -fuzztime=10s ./internal/zigbee
 
 # ci is the gate: everything must build (natively and cross-compiled for
 # arm64, so the NEON kernels always assemble), pass vet (and staticcheck

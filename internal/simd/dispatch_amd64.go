@@ -52,3 +52,11 @@ const hasFIR = true
 //
 //go:noescape
 func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int)
+
+// hasSegCorr: the segmented correlation kernel exists on amd64.
+const hasSegCorr = true
+
+// segCorr is the AVX2 segmented preamble correlation (corr_amd64.s).
+//
+//go:noescape
+func segCorr(acc *complex128, pow *float64, x *complex128, c *complex128, seg int, nseg int)

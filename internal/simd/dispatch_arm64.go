@@ -23,3 +23,12 @@ const hasFIR = false
 func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int) {
 	panic("simd: firBlocks has no arm64 kernel")
 }
+
+// hasSegCorr: there is no NEON segmented correlation yet, so
+// SegCorrEnabled stays false and the ZigBee preamble scan keeps its
+// pure-Go loop on arm64.
+const hasSegCorr = false
+
+func segCorr(acc *complex128, pow *float64, x *complex128, c *complex128, seg int, nseg int) {
+	panic("simd: segCorr has no arm64 kernel")
+}

@@ -25,3 +25,9 @@ const hasFIR = false
 func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int) {
 	panic("simd: firBlocks called on a build without asm kernels")
 }
+
+const hasSegCorr = false
+
+func segCorr(acc *complex128, pow *float64, x *complex128, c *complex128, seg int, nseg int) {
+	panic("simd: segCorr called on a build without asm kernels")
+}

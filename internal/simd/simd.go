@@ -1,13 +1,14 @@
-// Package simd provides runtime-dispatched vector kernels for the three
+// Package simd provides runtime-dispatched vector kernels for the four
 // hottest inner loops in the decode chain: the int16 Viterbi
 // add-compare-select step (wifi.ViterbiDecodeSoftQ), the radix-2
-// complex FFT butterfly pass (signal.Plan) and the gather-form FIR with
+// complex FFT butterfly pass (signal.Plan), the gather-form FIR with
 // real taps (signal.Convolve/ConvolveInto: the Bluetooth channel filter
-// and Gaussian pulse shaping). ViterbiACS and FFTPass have a Go
-// assembly implementation per architecture (AVX2 on amd64, NEON on
-// arm64); FIR is AVX2 only, so arm64 keeps the scalar filter through
-// FIREnabled. The callers keep their pure-Go loops as the
-// always-available fallback.
+// and Gaussian pulse shaping) and the segmented preamble correlation
+// (the ZigBee receiver's detection scan). ViterbiACS and FFTPass have a
+// Go assembly implementation per architecture (AVX2 on amd64, NEON on
+// arm64); FIR and SegCorr are AVX2 only, so arm64 keeps the scalar
+// filter and scan through FIREnabled and SegCorrEnabled. The callers
+// keep their pure-Go loops as the always-available fallback.
 //
 // Exactness contract: every kernel is bit-identical to the pure-Go
 // reference for every input, not just typical ones.
@@ -33,6 +34,15 @@
 //     lowering of x·complex(h, 0): [xr·h − xi·0, xi·h + xr·0]. The
 //     multiplies by zero are kept, so Inf·0 is NaN exactly where the
 //     scalar makes it NaN.
+//
+//   - SegCorr vectorizes across scan offsets only; each offset's
+//     segment accumulators and running power sum their terms in the
+//     scalar scan's order (ascending sample, +0 at each segment start
+//     for the accumulators, +0 once for the power, which carries across
+//     segments). Each term is Go's lowering of x·c,
+//     [xr·cr − xi·ci, xr·ci + xi·cr], and each power term xr·xr + xi·xi;
+//     the kernel forms the imaginary part and the power with their two
+//     products swapped, which IEEE addition makes exact.
 //
 // Dispatch is decided once at init from CPU features, can be disabled
 // at build time with the `noasm` build tag, at process start with the
@@ -160,4 +170,33 @@ func FIR(dst, x []complex128, h []float64) {
 		panic("simd: FIR input shorter than outputs plus taps")
 	}
 	firBlocks(&dst[0], &x[0], &h[0], len(h), len(dst)/8)
+}
+
+// SegCorrEnabled reports whether SegCorr is currently dispatched: asm
+// dispatch is on and this architecture has the kernel (amd64 only).
+func SegCorrEnabled() bool { return hasSegCorr && active.Load() }
+
+// SegCorr correlates 8 consecutive scan offsets of x against the
+// template c split into nseg equal segments of seg = len(c)/nseg
+// samples. For offset k in 0..7 and segment s it writes
+//
+//	acc[8s+k] = Σ_{j<seg} x[k+s·seg+j]·c[s·seg+j]
+//	pow[k]    = Σ_{t<len(c)} real(x[k+t])² + imag(x[k+t])²
+//
+// summed in ascending sample order, each accumulator from +0 and the
+// power from +0 carried across segments (see the package comment for
+// the exact lowering). len(c) must be a positive multiple of nseg,
+// len(acc) must be 8·nseg and len(x) at least len(c)+7. Callers must
+// check SegCorrEnabled().
+func SegCorr(acc []complex128, pow *[8]float64, x, c []complex128, nseg int) {
+	if nseg <= 0 || len(c) == 0 || len(c)%nseg != 0 {
+		panic("simd: SegCorr template must split into nseg equal segments")
+	}
+	if len(acc) != 8*nseg {
+		panic("simd: SegCorr needs 8 accumulators per segment")
+	}
+	if len(x) < len(c)+7 {
+		panic("simd: SegCorr input shorter than template plus 7 offsets")
+	}
+	segCorr(&acc[0], &pow[0], &x[0], &c[0], len(c)/nseg, nseg)
 }

@@ -128,6 +128,22 @@ func TestKernelContracts(t *testing.T) {
 	mustPanic("FIR short input", func() {
 		FIR(make([]complex128, 8), make([]complex128, 10), make([]float64, 4))
 	})
+	var pow [8]float64
+	mustPanic("SegCorr zero segments", func() {
+		SegCorr(nil, &pow, make([]complex128, 15), make([]complex128, 8), 0)
+	})
+	mustPanic("SegCorr ragged segments", func() {
+		SegCorr(make([]complex128, 24), &pow, make([]complex128, 17), make([]complex128, 10), 3)
+	})
+	mustPanic("SegCorr empty template", func() {
+		SegCorr(make([]complex128, 8), &pow, make([]complex128, 7), nil, 1)
+	})
+	mustPanic("SegCorr accumulator length", func() {
+		SegCorr(make([]complex128, 8), &pow, make([]complex128, 15), make([]complex128, 8), 2)
+	})
+	mustPanic("SegCorr short input", func() {
+		SegCorr(make([]complex128, 16), &pow, make([]complex128, 14), make([]complex128, 8), 2)
+	})
 }
 
 // TestFIREnabledTracksDispatch: FIR is dispatched exactly when asm
@@ -169,6 +185,62 @@ func TestFIRMatchesDefinition(t *testing.T) {
 		}
 		if dst[n] != want {
 			t.Fatalf("output %d: %v, want %v", n, dst[n], want)
+		}
+	}
+}
+
+// TestSegCorrEnabledTracksDispatch: SegCorr is dispatched exactly when asm
+// dispatch is on and the architecture has the kernel (amd64 only), so
+// arm64 and noasm builds keep the scalar scan.
+func TestSegCorrEnabledTracksDispatch(t *testing.T) {
+	prev := Enabled()
+	defer SetEnabled(prev)
+	SetEnabled(false)
+	if SegCorrEnabled() {
+		t.Fatal("SegCorrEnabled with dispatch off")
+	}
+	SetEnabled(true)
+	if want := Enabled() && runtime.GOARCH == "amd64"; SegCorrEnabled() != want {
+		t.Fatalf("SegCorrEnabled = %v with Enabled=%v on %s", SegCorrEnabled(), Enabled(), runtime.GOARCH)
+	}
+}
+
+// TestSegCorrMatchesDefinition checks the kernel against its documented
+// sums on finite data (the zigbee package proves bit identity against
+// the detection scan, raw float bits included).
+func TestSegCorrMatchesDefinition(t *testing.T) {
+	prev := SetEnabled(true)
+	defer SetEnabled(prev)
+	if !SegCorrEnabled() {
+		t.Skip("no SegCorr kernel in this build")
+	}
+	const nseg, seg = 3, 5
+	c := make([]complex128, nseg*seg)
+	for i := range c {
+		c[i] = complex(float64(i%4)-1.5, 0.25*float64(i%3)-0.5)
+	}
+	x := make([]complex128, len(c)+7+2)
+	for i := range x {
+		x[i] = complex(float64(i%7)-3, float64(i%5)*0.5-1)
+	}
+	acc := make([]complex128, 8*nseg)
+	var pow [8]float64
+	SegCorr(acc, &pow, x[2:], c, nseg)
+	for k := 0; k < 8; k++ {
+		var p float64
+		for s := 0; s < nseg; s++ {
+			var want complex128
+			for j := 0; j < seg; j++ {
+				v := x[2+k+s*seg+j]
+				want += v * c[s*seg+j]
+				p += real(v)*real(v) + imag(v)*imag(v)
+			}
+			if got := acc[8*s+k]; got != want {
+				t.Fatalf("offset %d segment %d: %v, want %v", k, s, got, want)
+			}
+		}
+		if pow[k] != p {
+			t.Fatalf("offset %d power: %v, want %v", k, pow[k], p)
 		}
 	}
 }

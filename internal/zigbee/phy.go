@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/signal"
+	"repro/internal/simd"
 )
 
 // Errors returned by the receiver.
@@ -229,20 +230,78 @@ func (rx *Receiver) Detect(cap *signal.Signal) (int, float64) {
 // 8 µs slice only rotates ~58° at 20 kHz CFO).
 const detectSegments = PreambleSymbols * 2
 
+// preambleTplPow is the template's energy, the normaliser of the
+// detection quality and of the channel gain estimates.
+var preambleTplPow = buildPreambleTplPow()
+
+func buildPreambleTplPow() float64 {
+	var p float64
+	for _, v := range preambleTemplate {
+		p += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return p
+}
+
+// detectScan is the running state of the detection scan: the best offset
+// so far, its quality and its channel gain estimate.
+type detectScan struct {
+	best     int
+	bestQ    float64
+	bestGain complex128
+}
+
+// offer feeds offset i's summed segment magnitudes, coherent sum and
+// window power to the scan and reports whether the scan is done.
+func (d *detectScan) offer(i int, mag float64, coh complex128, pow float64) bool {
+	if pow == 0 {
+		return false
+	}
+	q := mag / math.Sqrt(pow*preambleTplPow)
+	if q > d.bestQ {
+		d.best, d.bestQ = i, q
+		d.bestGain = coh / complex(preambleTplPow, 0)
+	}
+	// The preamble is symbol-periodic, so misalignments by a whole symbol
+	// also correlate strongly; keep scanning one full symbol past the best
+	// candidate before accepting it. Fixed internal gate: a low user
+	// threshold must not stop the scan on a noise blip before the true
+	// preamble.
+	return d.bestQ > 0.4 && i > d.best+SymbolSamples
+}
+
 // detect correlates the preamble template slice-wise, returning the start
 // index, the complex channel gain estimate (coherent, so only valid after
-// CFO removal) and the normalised quality.
+// CFO removal) and the normalised quality. Where the SegCorr kernel is
+// dispatched it scans blocks of 8 offsets, each then offered in offset
+// order exactly as the scalar loop would; the scalar loop covers the
+// tail and is the reference.
 func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float64) {
-	tpl := preambleTemplate
+	tpl := preambleConjTemplate
 	seg := len(tpl) / detectSegments
-	var tplPow float64
-	for _, v := range tpl {
-		tplPow += real(v)*real(v) + imag(v)*imag(v)
+	x := cap.Samples
+	n := len(x)
+	sc := detectScan{best: -1}
+	i := from
+	if simd.SegCorrEnabled() {
+		var acc [8 * detectSegments]complex128
+		var pow [8]float64
+		for ; i+len(tpl)+7 <= n; i += 8 {
+			simd.SegCorr(acc[:], &pow, x[i:i+len(tpl)+7], tpl, detectSegments)
+			for k := 0; k < 8; k++ {
+				var mag float64
+				var coh complex128
+				for s := 0; s < detectSegments; s++ {
+					a := acc[8*s+k]
+					mag += math.Hypot(real(a), imag(a))
+					coh += a
+				}
+				if sc.offer(i+k, mag, coh, pow[k]) {
+					return sc.best, sc.bestGain, sc.bestQ
+				}
+			}
+		}
 	}
-	n := len(cap.Samples)
-	best, bestQ := -1, 0.0
-	var bestGain complex128
-	for i := from; i+len(tpl) <= n; i++ {
+	for ; i+len(tpl) <= n; i++ {
 		var mag float64
 		var coh complex128
 		var pow float64
@@ -253,12 +312,12 @@ func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float
 		// checks.
 		for s := 0; s < detectSegments; s++ {
 			var accR, accI float64
-			cs := preambleConjTemplate[s*seg : (s+1)*seg : (s+1)*seg]
-			xs := cap.Samples[i+s*seg:]
+			cs := tpl[s*seg : (s+1)*seg : (s+1)*seg]
+			xs := x[i+s*seg:]
 			xs = xs[:len(cs):len(cs)]
 			for j, c := range cs {
-				x := xs[j]
-				xr, xi := real(x), imag(x)
+				v := xs[j]
+				xr, xi := real(v), imag(v)
 				cr, ci := real(c), imag(c)
 				accR += xr*cr - xi*ci
 				accI += xr*ci + xi*cr
@@ -267,44 +326,33 @@ func (rx *Receiver) detect(cap *signal.Signal, from int) (int, complex128, float
 			mag += math.Hypot(accR, accI)
 			coh += complex(accR, accI)
 		}
-		if pow == 0 {
-			continue
-		}
-		q := mag / math.Sqrt(pow*tplPow)
-		if q > bestQ {
-			best, bestQ = i, q
-			bestGain = coh / complex(tplPow, 0)
-		}
-		// The preamble is symbol-periodic, so misalignments by a whole
-		// symbol also correlate strongly; keep scanning one full symbol
-		// past the best candidate before accepting it. Fixed internal
-		// gate: a low user threshold must not stop the scan on a noise
-		// blip before the true preamble.
-		if bestQ > 0.4 && i > best+SymbolSamples {
+		if sc.offer(i, mag, coh, pow) {
 			break
 		}
 	}
-	return best, bestGain, bestQ
+	return sc.best, sc.bestGain, sc.bestQ
 }
 
 // decodeFrom demodulates a frame whose preamble starts at sample start.
 func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (*RxFrame, error) {
-	samples := cap.Samples
+	// samples[k] is capture sample off+k: the capture itself, or with CFO
+	// correction an arena copy of the frame region from start on.
+	samples, off := cap.Samples, 0
 	if rx.CFOCorrection {
 		// Derotate a copy of the frame region using the preamble-derived
 		// offset, then re-estimate the channel gain coherently.
 		cfo := estimateCFO(samples, start, cap.Rate)
-		work := append([]complex128(nil), samples[start:]...)
+		a := signal.GetArena()
+		defer a.Release()
+		work := a.ComplexUninit(len(samples) - start)
+		copy(work, samples[start:])
 		signal.Derotate(work, cfo, cap.Rate)
-		samples = make([]complex128, start, start+len(work))
-		samples = append(samples, work...)
+		samples, off = work, start
 		var acc complex128
-		var tplPow float64
 		for j, r := range preambleTemplate {
-			acc += samples[start+j] * cmplx.Conj(r)
-			tplPow += real(r)*real(r) + imag(r)*imag(r)
+			acc += samples[j] * cmplx.Conj(r)
 		}
-		gain = acc / complex(tplPow, 0)
+		gain = acc / complex(preambleTplPow, 0)
 	}
 	if gain == 0 {
 		return nil, ErrNoFrame
@@ -314,7 +362,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 		chips := make([]byte, ChipsPerSymbol)
 		for k := 0; k < ChipsPerSymbol; k++ {
 			// Chip k peaks at (k+1)·Tc after its rail's start.
-			idx := symStart + (k+1)*SamplesPerChip
+			idx := symStart + (k+1)*SamplesPerChip - off
 			if idx >= len(samples) {
 				return 0, 0, 0, ErrTruncated
 			}
@@ -388,7 +436,7 @@ func (rx *Receiver) decodeFrom(cap *signal.Signal, start int, gain complex128) (
 	payload := body[:length-2]
 	fcs := uint16(body[length-2]) | uint16(body[length-1])<<8
 
-	frameSamples := &signal.Signal{Rate: cap.Rate, Samples: samples[start:min(pos, len(samples))]}
+	frameSamples := &signal.Signal{Rate: cap.Rate, Samples: samples[start-off : min(pos-off, len(samples))]}
 	return &RxFrame{
 		Payload:    payload,
 		Symbols:    syms,
