@@ -178,16 +178,20 @@ fuzz-decoder:
 # demand bitwise identity on every non-NaN value; the Bluetooth demod
 # fuzzer drives arbitrary captures through the receiver (channel filter
 # included) in both dispatch modes; the ZigBee detect fuzzer does the
-# same for the preamble scan (block path and scalar tail) and Receive.
-# The kernel fuzzers skip cleanly on builds without the asm kernels; the
-# two receiver fuzzers then compare the scalar path with itself and
-# still check that nothing panics.
+# same for the preamble scan (block path and scalar tail) and Receive;
+# the WiFi receive fuzzer feeds raw, empty, non-finite and long captures
+# (or raw samples over a real PPDU) to Receive and demands the same
+# PSDU, start and error in both modes. The kernel fuzzers skip cleanly
+# on builds without the asm kernels; the three receiver fuzzers then
+# compare the scalar path with itself and still check that nothing
+# panics.
 fuzz-simd:
 	$(GO) test -run=^$$ -fuzz=FuzzViterbiACS -fuzztime=10s ./internal/wifi
 	$(GO) test -run=^$$ -fuzz=FuzzFFTSIMD -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzFIRSIMD -fuzztime=10s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzBluetoothDemod -fuzztime=10s ./internal/bluetooth
 	$(GO) test -run=^$$ -fuzz=FuzzZigBeeDetect -fuzztime=10s ./internal/zigbee
+	$(GO) test -run=^$$ -fuzz=FuzzWiFiReceive -fuzztime=10s ./internal/wifi
 
 # ci is the gate: everything must build (natively and cross-compiled for
 # arm64, so the NEON kernels always assemble), pass vet (and staticcheck

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"repro/internal/bits"
 	"repro/internal/signal"
@@ -157,7 +156,10 @@ func ModulateBits(b []byte) *signal.Signal {
 	k := 2 * math.Pi * Deviation / SampleRate
 	for i, f := range freq {
 		phase += k * real(f)
-		s.Samples[i] = cmplx.Exp(complex(0, phase))
+		// cmplx.Exp(complex(0, phase)) without its math.Exp(0): that
+		// factor is exactly 1, so complex(cos, sin) is bit-identical.
+		sin, cos := math.Sincos(phase)
+		s.Samples[i] = complex(cos, sin)
 	}
 	return s
 }

@@ -99,14 +99,7 @@ type Link struct {
 	// (burst loss, CFO drift, brownout truncation, impulsive noise) on top
 	// of the static model above.
 	Impairment *Impairment
-	// Precision selects the floating-point width of the sample-domain
-	// impairment kernels (frequency shift, noise mixing). The zero value is
-	// signal.PrecisionFloat64, bit-identical to every earlier build; the
-	// float32 path is an explicit opt-in that draws the identical RNG
-	// sequence but mixes in float32 (error bounds in DESIGN.md §8.1). The
-	// golden-vector and identity suites pin the default.
-	Precision signal.Precision
-	Seed      int64 // RNG seed for AWGN, fading, tap phases and impulses
+	Seed       int64 // RNG seed for AWGN, fading, tap phases and impulses
 }
 
 // Tap is one multipath echo relative to the direct path.
@@ -300,9 +293,9 @@ func (l Link) ApplyToWithPower(dst *signal.Signal, s *signal.Signal, headroom in
 		cfo += l.Impairment.CFOHz
 	}
 	if cfo != 0 {
-		out.FrequencyShiftP(cfo, l.Precision)
+		out.FrequencyShift(cfo)
 	}
-	out.AddAWGNP(signal.DBToPower(l.NoiseFloor), rng, l.Precision)
+	out.AddAWGN(signal.DBToPower(l.NoiseFloor), rng)
 	if imp := l.Impairment; imp != nil && imp.ImpulseProb > 0 {
 		// Impulsive co-channel noise: sparse high-power events on top of
 		// the thermal floor (microwave ovens, frequency-hopping bursts).

@@ -101,10 +101,12 @@ func ConvolveInto(dst, x []complex128, h []float64, a *Arena) []complex128 {
 // convolveGather is the SIMD form of the scatter loop above: each output
 // gathers its own terms instead of receiving them from every input, so
 // out needs no full-length scratch. Outputs whose tap window lies wholly
-// inside x go through simd.FIR eight at a time; the two edges and the
-// tail under eight take gatherAt. Both sum an output's terms exactly as
-// the scatter loop does (ascending input index from +0, same complex
-// multiply), so the result is bit-identical to it.
+// inside x go through simd.FIR in blocks of eight; the two edges and the
+// tail under eight take gatherAt. Both sum an output's terms in the
+// scatter loop's order (ascending input index from +0). gatherAt uses
+// the same complex multiply; simd.FIR uses the real-tap split, which
+// equals it bit for bit only when x is finite, so a capture holding any
+// Inf or NaN takes gatherAt for every output (DESIGN §8.3).
 func convolveGather(out, x []complex128, h []float64) {
 	nx, nh := len(x), len(h)
 	delay := (nh - 1) / 2
@@ -113,6 +115,9 @@ func convolveGather(out, x []complex128, h []float64) {
 	lo := min(nh-1-delay, nx)
 	hi := max(nx-delay, lo)
 	n8 := (hi - lo) &^ 7
+	if !finite(x) {
+		lo, n8 = nx, 0 // every output through gatherAt
+	}
 	for m := 0; m < lo; m++ {
 		out[m] = gatherAt(x, h, m+delay)
 	}
@@ -122,6 +127,16 @@ func convolveGather(out, x []complex128, h []float64) {
 	for m := lo + n8; m < nx; m++ {
 		out[m] = gatherAt(x, h, m+delay)
 	}
+}
+
+// finite reports whether every component of x is finite: v−v is 0 for
+// finite parts and NaN for ±Inf and NaN, and a NaN survives the sum.
+func finite(x []complex128) bool {
+	var s complex128
+	for _, v := range x {
+		s += v - v
+	}
+	return s == 0
 }
 
 // gatherAt is full-convolution output k summed in the scatter loop's

@@ -69,6 +69,14 @@ func TestConvolveDispatchBitIdentity(t *testing.T) {
 	}
 }
 
+func randTaps(rng *rand.Rand, n int) []float64 {
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = rng.NormFloat64()
+	}
+	return h
+}
+
 // convolveReference is the "same"-aligned convolution written out as
 // the definition: output m sums x[i]·h[m+delay-i] over ascending i from
 // +0, the order both Convolve paths promise, so it must match them bit
@@ -146,12 +154,90 @@ func TestConvolveFFTDispatchBitIdentity(t *testing.T) {
 	}
 }
 
+// TestConvolveRealTapZeroSigns holds the real-tap kernel to the scatter
+// loop on the inputs where its split [xr·h, xi·h] and Go's lowering
+// [xr·h − xi·0, xi·h + xr·0] produce zeros of different sign. With 5
+// taps and 31 samples the interior is one 16-output block, one 8-output
+// block and a scalar tail. Rows whose samples are all ±0 must also come
+// out +0 everywhere: the accumulator starts at +0 and never turns −0.
+func TestConvolveRealTapZeroSigns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	const nx = 31
+	fill := func(f func(i int) complex128) []complex128 {
+		x := make([]complex128, nx)
+		for i := range x {
+			x[i] = f(i)
+		}
+		return x
+	}
+	signedZero := func(i int) float64 {
+		if i%2 == 1 {
+			return negZero
+		}
+		return 0
+	}
+	rng := rand.New(rand.NewSource(15))
+	base := randComplex(rng, nx)
+	cases := []struct {
+		name     string
+		x        []complex128
+		h        []float64
+		allZeros bool
+	}{
+		{"−0 samples, +1 taps", fill(func(int) complex128 { return complex(negZero, negZero) }),
+			[]float64{1, 1, 1, 1, 1}, true},
+		{"−0 samples, −1 taps", fill(func(int) complex128 { return complex(negZero, negZero) }),
+			[]float64{-1, -1, -1, -1, -1}, true},
+		{"±0 samples, ±0 taps", fill(func(i int) complex128 { return complex(signedZero(i), signedZero(i/2)) }),
+			[]float64{0, negZero, 0, negZero, negZero}, true},
+		{"±0 samples, ±1 taps", fill(func(i int) complex128 { return complex(signedZero(i/3), signedZero(i)) }),
+			[]float64{1, -1, -1, 1, -1}, true},
+		{"−0 real parts, −1 taps", fill(func(i int) complex128 { return complex(negZero, imag(base[i])) }),
+			[]float64{-1, -1, -1, -1, -1}, false},
+		{"finite samples, ±0 taps", base, []float64{negZero, 0, negZero, negZero, 0}, false},
+		{"cancelling neighbours", fill(func(i int) complex128 {
+			if i%2 == 1 {
+				return -base[i-1]
+			}
+			return base[i]
+		}), []float64{1, 1, 0, 1, 1}, false},
+	}
+	for _, tc := range cases {
+		want := convolveReference(tc.x, tc.h)
+		withBothDispatchModes(t, func() []complex128 { return Convolve(tc.x, tc.h) }, func(goRes, simdRes []complex128) {
+			requireBitIdentical(t, tc.name+" (scalar vs reference)", want, goRes)
+			requireBitIdentical(t, tc.name+" (simd vs scalar)", goRes, simdRes)
+			if !tc.allZeros {
+				return
+			}
+			for i, v := range simdRes {
+				if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
+					t.Fatalf("%s: output %d is %v, want +0", tc.name, i, v)
+				}
+			}
+		})
+	}
+}
+
 // FuzzFIRSIMD is the FIR half of `make fuzz-simd`: samples and taps are
 // raw float64 bit patterns (NaN, ±Inf, −0 and subnormals all appear),
 // nx spans 0, lengths below and around the tap count and interior
 // lengths off the 8-output block, and tap counts run 1–200. Both
 // dispatch modes must agree bit for bit on every non-NaN part.
 func FuzzFIRSIMD(f *testing.F) {
+	// addShape seeds exact taps and samples: the fuzz body reads the
+	// taps first, then each sample's real and imaginary part.
+	addShape := func(h []float64, x []complex128) {
+		raw := make([]byte, 0, 8*(len(h)+2*len(x)))
+		for _, v := range h {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+		}
+		for _, v := range x {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(real(v)))
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(imag(v)))
+		}
+		f.Add(raw, uint16(len(x)), uint8(len(h)-1))
+	}
 	rng := rand.New(rand.NewSource(14))
 	blob := make([]byte, 16*64)
 	for i := 0; i < len(blob); i += 8 {
@@ -179,6 +265,46 @@ func FuzzFIRSIMD(f *testing.F) {
 	}
 	f.Add(inf, uint16(64), uint8(7))
 	f.Add([]byte{}, uint16(0), uint8(0))
+	// One non-finite sample in an otherwise finite capture, exactly where
+	// a kernel block's window starts: 7 taps put output lo+j's window at
+	// x[j], so 24, 40 and 48 interior outputs make x[16] and x[32] the
+	// first sample of an 8-output block and x[32] that of a 16-output
+	// block. The capture must take the scalar path for every output.
+	taps7 := randTaps(rng, 7)
+	for _, tc := range []struct {
+		nx, at int
+		v      complex128
+	}{
+		{6 + 24, 16, complex(math.Inf(1), 0.5)},
+		{6 + 40, 32, complex(-0.5, math.Inf(-1))},
+		{6 + 48, 32, complex(0.25, math.NaN())},
+	} {
+		x := randComplex(rng, tc.nx)
+		x[tc.at] = tc.v
+		addShape(taps7, x)
+	}
+	// Finite samples whose products overflow: ±MaxFloat64 parts (and some
+	// zeros) under taps of magnitude above 1 give ±Inf terms and Inf−Inf
+	// sums, identically in both forms.
+	big := make([]complex128, 8+40)
+	for i := range big {
+		re, im := math.MaxFloat64, -math.MaxFloat64
+		if i%3 == 0 {
+			re = -re
+		}
+		if i%5 == 0 {
+			im = 0
+		}
+		big[i] = complex(re, im)
+	}
+	addShape([]float64{1.5, -2, 3, -1.25, 4, 2, -3.5, 1.0625, -2.5}, big)
+	// Signed zeros everywhere: every term is a zero whose sign the two
+	// forms may disagree on, and every output must still match.
+	zeros := make([]complex128, 4+24)
+	for i := range zeros {
+		zeros[i] = complex(math.Copysign(0, float64(i%2)-0.5), math.Copysign(0, float64(i%3)-1.5))
+	}
+	addShape([]float64{math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, 0}, zeros)
 
 	f.Fuzz(func(t *testing.T, raw []byte, nx16 uint16, nh8 uint8) {
 		nh := 1 + int(nh8)%200

@@ -45,13 +45,13 @@ func viterbiACS(metric *[64]int16, signs *[64]int32, q *int16, tb *uint64, steps
 //go:noescape
 func fftPass(x *complex128, n int, tw *complex128, size int)
 
-// hasFIR: the gather-form FIR kernel exists on amd64.
+// hasFIR: the real-tap FIR kernel exists on amd64.
 const hasFIR = true
 
-// firBlocks is the AVX2 gather-form FIR (fir_amd64.s).
+// firBlocks is the AVX2 real-tap FIR (fir_amd64.s).
 //
 //go:noescape
-func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int)
+func firBlocks(dst *complex128, x *complex128, h *float64, nh int, n int)
 
 // hasSegCorr: the segmented correlation kernel exists on amd64.
 const hasSegCorr = true

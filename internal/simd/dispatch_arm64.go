@@ -20,7 +20,7 @@ func fftPass(x *complex128, n int, tw *complex128, size int)
 // signal.Convolve keeps its pure-Go loop on arm64.
 const hasFIR = false
 
-func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int) {
+func firBlocks(dst *complex128, x *complex128, h *float64, nh int, n int) {
 	panic("simd: firBlocks has no arm64 kernel")
 }
 

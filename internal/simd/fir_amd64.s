@@ -2,83 +2,112 @@
 
 #include "textflag.h"
 
-// func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int)
+// func firBlocks(dst *complex128, x *complex128, h *float64, nh int, n int)
 //
-// Gather-form FIR over complex samples with real taps, bit-identical to
-// the scalar loop in signal.ConvolveInto. Each block writes 8 outputs
-// (4 ymm accumulators of 2 complex128 each):
+// Gather-form FIR over complex samples with real taps, n outputs (a
+// multiple of 8):
 //
-//   dst[n] = Σ_{t=0}^{nh-1} x[n+t]·complex(h[nh-1-t], 0)
+//   dst[k] = Σ_{t=0}^{nh-1} x[k+t]·h[nh-1-t]
 //
-// summed in ascending t from a +0 accumulator. Each term is Go's own
-// complex-multiply lowering of x·complex(h, 0):
-//
-//   p = [xr·h, xi·h]             (VMULPD by the broadcast tap)
-//   q = [xi·0, xr·0]             (VPERMILPD $5, VMULPD by +0)
-//   term = [p0 − q0, p1 + q1]    (VADDSUBPD)
-//   acc += term                  (VADDPD)
-//
-// with no FMA and no reassociation, so every non-NaN result matches the
-// scalar bit for bit (Inf·0 = NaN included; NaN payloads are outside
-// the contract, see the package fuzzer).
+// summed in ascending t from a +0 accumulator. Each term is the real-tap
+// split [xr·h, xi·h] (one VMULPD by the broadcast tap, then VADDPD into
+// the accumulator), with no FMA and no reassociation. For finite x this
+// is bit-identical to Go's lowering of x·complex(h, 0) (DESIGN §8.3);
+// the caller guards the finite case. Blocks of 16 outputs keep 8 ymm
+// accumulators of 2 complex128 each; a remainder of 8 outputs takes one
+// 4-accumulator block.
 TEXT ·firBlocks(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ h+16(FP), DX
 	MOVQ nh+24(FP), CX
-	MOVQ blocks+32(FP), BX
+	MOVQ n+32(FP), BX
 
-	VXORPD Y15, Y15, Y15         // +0: the imaginary tap
-	LEAQ   -8(DX)(CX*8), R8      // &h[nh-1]
+	LEAQ -8(DX)(CX*8), R8        // &h[nh-1]
+	MOVQ BX, R12
+	SHRQ $4, R12                 // 16-output blocks
+	JZ   rem8
 
-block:
+block16:
 	VXORPD Y0, Y0, Y0            // accumulators start at +0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
 	MOVQ   SI, R9                // x cursor walks up
 	MOVQ   R8, R10               // tap cursor walks down
 	MOVQ   CX, R11
 
-tap:
-	VBROADCASTSD (R10), Y14
-	VMOVUPD   (R9), Y4
-	VMOVUPD   32(R9), Y6
-	VMOVUPD   64(R9), Y8
-	VMOVUPD   96(R9), Y10
-	VMULPD    Y14, Y4, Y5        // p
-	VMULPD    Y14, Y6, Y7
-	VMULPD    Y14, Y8, Y9
-	VMULPD    Y14, Y10, Y11
-	VPERMILPD $5, Y4, Y4         // [xi, xr]
-	VPERMILPD $5, Y6, Y6
-	VPERMILPD $5, Y8, Y8
-	VPERMILPD $5, Y10, Y10
-	VMULPD    Y15, Y4, Y4        // q
-	VMULPD    Y15, Y6, Y6
-	VMULPD    Y15, Y8, Y8
-	VMULPD    Y15, Y10, Y10
-	VADDSUBPD Y4, Y5, Y5         // term
-	VADDSUBPD Y6, Y7, Y7
-	VADDSUBPD Y8, Y9, Y9
-	VADDSUBPD Y10, Y11, Y11
-	VADDPD    Y5, Y0, Y0         // acc += term
-	VADDPD    Y7, Y1, Y1
-	VADDPD    Y9, Y2, Y2
-	VADDPD    Y11, Y3, Y3
-	ADDQ      $16, R9
-	SUBQ      $8, R10
-	DECQ      R11
-	JNZ       tap
+tap16:
+	VBROADCASTSD (R10), Y15
+	VMULPD       (R9), Y15, Y8
+	VMULPD       32(R9), Y15, Y9
+	VMULPD       64(R9), Y15, Y10
+	VMULPD       96(R9), Y15, Y11
+	VADDPD       Y8, Y0, Y0
+	VADDPD       Y9, Y1, Y1
+	VADDPD       Y10, Y2, Y2
+	VADDPD       Y11, Y3, Y3
+	VMULPD       128(R9), Y15, Y12
+	VMULPD       160(R9), Y15, Y13
+	VMULPD       192(R9), Y15, Y14
+	VMULPD       224(R9), Y15, Y8
+	VADDPD       Y12, Y4, Y4
+	VADDPD       Y13, Y5, Y5
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y8, Y7, Y7
+	ADDQ         $16, R9
+	SUBQ         $8, R10
+	DECQ         R11
+	JNZ          tap16
 
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
 	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, SI
-	DECQ    BX
-	JNZ     block
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	DECQ    R12
+	JNZ     block16
 
+rem8:
+	TESTQ $8, BX
+	JZ    done
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R9
+	MOVQ   R8, R10
+	MOVQ   CX, R11
+
+tap8:
+	VBROADCASTSD (R10), Y15
+	VMULPD       (R9), Y15, Y8
+	VMULPD       32(R9), Y15, Y9
+	VMULPD       64(R9), Y15, Y10
+	VMULPD       96(R9), Y15, Y11
+	VADDPD       Y8, Y0, Y0
+	VADDPD       Y9, Y1, Y1
+	VADDPD       Y10, Y2, Y2
+	VADDPD       Y11, Y3, Y3
+	ADDQ         $16, R9
+	SUBQ         $8, R10
+	DECQ         R11
+	JNZ          tap8
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+
+done:
 	VZEROUPPER
 	RET

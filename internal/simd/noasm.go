@@ -22,7 +22,7 @@ func fftPass(x *complex128, n int, tw *complex128, size int) {
 
 const hasFIR = false
 
-func firBlocks(dst *complex128, x *complex128, h *float64, nh int, blocks int) {
+func firBlocks(dst *complex128, x *complex128, h *float64, nh int, n int) {
 	panic("simd: firBlocks called on a build without asm kernels")
 }
 

@@ -10,8 +10,10 @@
 // filter and scan through FIREnabled and SegCorrEnabled. The callers
 // keep their pure-Go loops as the always-available fallback.
 //
-// Exactness contract: every kernel is bit-identical to the pure-Go
-// reference for every input, not just typical ones.
+// Exactness contract: every dispatched path is bit-identical to the
+// pure-Go reference for every input, not just typical ones. FIR gets
+// there with its caller: the kernel is exact on finite samples and
+// signal.ConvolveInto sends any other capture to the scalar loop.
 //
 //   - ViterbiACS does its arithmetic in 32-bit lanes (sign-extended
 //     from the int16 metrics) exactly like the Go kernel's plain-int
@@ -30,10 +32,13 @@
 //
 //   - FIR vectorizes across outputs only; each output sums its terms
 //     in the scalar scatter loop's order (ascending input index, taps
-//     walking down, from a +0 accumulator), and each term is Go's own
-//     lowering of x·complex(h, 0): [xr·h − xi·0, xi·h + xr·0]. The
-//     multiplies by zero are kept, so Inf·0 is NaN exactly where the
-//     scalar makes it NaN.
+//     walking down, from a +0 accumulator). Each term is the real-tap
+//     split [xr·h, xi·h], which drops the multiplies by zero of Go's
+//     lowering of x·complex(h, 0), [xr·h − xi·0, xi·h + xr·0]. For
+//     finite x the two differ only in the sign of a zero term, which a
+//     sum started at +0 cannot observe, so the kernel is exact for
+//     finite samples; an Inf or NaN sample (Inf·0 = NaN) is the
+//     caller's to route to the scalar loop (signal.ConvolveInto does).
 //
 //   - SegCorr vectorizes across scan offsets only; each offset's
 //     segment accumulators and running power sum their terms in the
@@ -153,12 +158,15 @@ func FIREnabled() bool { return hasFIR && active.Load() }
 
 // FIR computes len(dst) outputs of a real-tap filter in gather form:
 //
-//	dst[n] = Σ_{t=0}^{len(h)-1} x[n+t]·complex(h[len(h)-1-t], 0)
+//	dst[n] = Σ_{t=0}^{len(h)-1} x[n+t]·h[len(h)-1-t]
 //
-// with the terms summed in ascending t from +0 (see the package
-// comment for the exact lowering). len(dst) must be a multiple of 8 and
-// len(x) at least len(dst)+len(h)-1; dst must not overlap x. Callers
-// must check FIREnabled().
+// with the terms summed in ascending t from +0, 16 outputs per block
+// and one 8-output block for the remainder. Every output is
+// bit-identical to the same sum over x[n+t]·complex(h, 0) when x holds
+// no Inf or NaN (see the package comment); callers must keep
+// non-finite samples off this path. len(dst) must be a multiple of 8
+// and len(x) at least len(dst)+len(h)-1; dst must not overlap x.
+// Callers must check FIREnabled().
 func FIR(dst, x []complex128, h []float64) {
 	if len(dst)%8 != 0 {
 		panic("simd: FIR output length must be a multiple of 8")
@@ -169,7 +177,7 @@ func FIR(dst, x []complex128, h []float64) {
 	if len(h) == 0 || len(x) < len(dst)+len(h)-1 {
 		panic("simd: FIR input shorter than outputs plus taps")
 	}
-	firBlocks(&dst[0], &x[0], &h[0], len(h), len(dst)/8)
+	firBlocks(&dst[0], &x[0], &h[0], len(h), len(dst))
 }
 
 // SegCorrEnabled reports whether SegCorr is currently dispatched: asm

@@ -125,9 +125,23 @@ func TestKernelContracts(t *testing.T) {
 	mustPanic("FIR output off the block", func() {
 		FIR(make([]complex128, 4), make([]complex128, 16), make([]float64, 1))
 	})
+	// 16-output blocks take an 8-output remainder, nothing shorter.
+	mustPanic("FIR remainder off the 8-output block", func() {
+		FIR(make([]complex128, 20), make([]complex128, 32), make([]float64, 1))
+	})
 	mustPanic("FIR short input", func() {
 		FIR(make([]complex128, 8), make([]complex128, 10), make([]float64, 4))
 	})
+	mustPanic("FIR short input past a 16-output block", func() {
+		FIR(make([]complex128, 24), make([]complex128, 26), make([]float64, 4))
+	})
+	if !hasFIR {
+		// The arm64 and noasm stubs refuse a valid 16+8-output call
+		// instead of returning zeros to a caller that skipped FIREnabled.
+		mustPanic("FIR without a kernel", func() {
+			FIR(make([]complex128, 24), make([]complex128, 27), make([]float64, 4))
+		})
+	}
 	var pow [8]float64
 	mustPanic("SegCorr zero segments", func() {
 		SegCorr(nil, &pow, make([]complex128, 15), make([]complex128, 8), 0)
@@ -163,8 +177,9 @@ func TestFIREnabledTracksDispatch(t *testing.T) {
 }
 
 // TestFIRMatchesDefinition checks the kernel against its documented sum
-// on finite data (the signal package proves bit identity against the
-// scatter loop, raw float bits included).
+// on finite data, over output counts that take only the 8-output block,
+// only 16-output blocks and both (the signal package proves bit identity
+// against the scatter loop, raw float bits included).
 func TestFIRMatchesDefinition(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
@@ -172,19 +187,21 @@ func TestFIRMatchesDefinition(t *testing.T) {
 		t.Skip("no FIR kernel in this build")
 	}
 	h := []float64{0.5, -1.25, 2, 0.75, -0.125}
-	x := make([]complex128, 16+len(h)-1)
-	for i := range x {
-		x[i] = complex(float64(i%7)-3, float64(i%5)*0.5)
-	}
-	dst := make([]complex128, 16)
-	FIR(dst, x, h)
-	for n := range dst {
-		var want complex128
-		for t := range h {
-			want += x[n+t] * complex(h[len(h)-1-t], 0)
+	for _, n := range []int{8, 16, 24, 32, 40} {
+		x := make([]complex128, n+len(h)-1)
+		for i := range x {
+			x[i] = complex(float64(i%7)-3, float64(i%5)*0.5)
 		}
-		if dst[n] != want {
-			t.Fatalf("output %d: %v, want %v", n, dst[n], want)
+		dst := make([]complex128, n)
+		FIR(dst, x, h)
+		for k := range dst {
+			var want complex128
+			for t := range h {
+				want += x[k+t] * complex(h[len(h)-1-t], 0)
+			}
+			if dst[k] != want {
+				t.Fatalf("%d outputs, output %d: %v, want %v", n, k, dst[k], want)
+			}
 		}
 	}
 }
